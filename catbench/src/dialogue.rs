@@ -40,7 +40,8 @@ use crate::report::{common_layers, metric, Report};
 use crate::summary::{median, Summary, Timings};
 use crate::trace::Tracer;
 use crate::{
-    derive_seed, file_len, open_durable_copy, peak_rss_mb, speed_factor, Digest, RunOptions,
+    derive_seed, file_len, open_durable_copy, peak_rss_mb, speed_factor, time_reopens, Digest,
+    RunOptions,
 };
 
 /// Size of one dialogue workload.
@@ -51,10 +52,11 @@ pub struct DialogueWorkload {
     pub customers: usize,
     /// Dialogues one synthesized agent serves.
     pub dialogues: usize,
-    /// Episodes a run makes at least, whatever its measuring time
-    /// (`setup_s` is their median).
-    pub min_episodes: usize,
 }
+
+/// Episodes a run makes at least, whatever its measuring time
+/// (`setup_s` is their median).
+const MIN_EPISODES: u64 = 3;
 
 /// Probability that the user types an answer with typos.
 const P_MISSPELL: f64 = 0.2;
@@ -69,6 +71,12 @@ const SYNTHESIS_SEED: u64 = 2022;
 /// serves the same data, and the run's seed varies the users (their
 /// goals, phrasing and typos).
 const DATA_SEED: u64 = 42;
+/// Seed of the booking goals of each episode. Like the database, the
+/// goals are part of the workload's definition: which customers and
+/// screenings the users book sets how many questions identification
+/// takes, and so how the turns divide between slow and fast ones. The
+/// run's seed varies how the users phrase and mistype their answers.
+const GOAL_SEED: u64 = 7;
 /// Reopens of the data directory a run times for `recover_s`.
 const RECOVERY_OPENS: usize = 3;
 /// How the simulated user phrases an answer.
@@ -167,9 +175,6 @@ pub struct DialogueRun {
     pub actions: Vec<String>,
     /// Latency of the turn that committed the booking.
     pub commit_us: Option<f64>,
-    /// Root span duration of every traced turn (respond plus the
-    /// tracing work around it), in microseconds.
-    pub traced_turn_us: Vec<f64>,
     /// The booking executed and the goal's reservation exists.
     pub success: bool,
     /// Integrity violations found by the checks.
@@ -179,9 +184,11 @@ pub struct DialogueRun {
 }
 
 /// Serve one dialogue pursuing `goal`. While `tracer` is enabled each
-/// turn is a request with an `nlu.parse` span (a second, separate parse
-/// of the utterance) and an `agent.*` span around `respond`, named after
-/// the reply's action.
+/// turn is a `turn` request with one `agent.*` span around `respond`,
+/// named after the reply's action, and after the dialogue every user
+/// utterance is parsed once more on its own as an `nlu.parse` request:
+/// outside the turns, so the turns run exactly as untraced ones do, and
+/// back to back, so the parses run with warm caches.
 pub fn run_dialogue(
     agent: &mut ConversationalAgent,
     goal: &UserGoal,
@@ -197,19 +204,12 @@ pub fn run_dialogue(
     let mut text = opening.to_string();
     let changed = loop {
         tracer.begin_request("turn");
-        let root = Instant::now();
-        if tracer.enabled() {
-            tracer.span("nlu.parse", || agent.nlu().parse(&text));
-        }
         tracer.begin("agent.respond");
         let t = Instant::now();
         let response = agent.respond(&text);
         let us = t.elapsed().as_secs_f64() * 1e6;
         tracer.end_as(layer_of(&response.action));
         tracer.end();
-        if tracer.enabled() {
-            out.traced_turn_us.push(root.elapsed().as_secs_f64() * 1e6);
-        }
         out.turn_us.push(us);
         out.actions.push(response.action.clone());
         if response.action == "a:report_failure" {
@@ -235,6 +235,13 @@ pub fn run_dialogue(
     }
     out.success =
         changed.is_some() && reservation_exists_for(agent, goal) && goal_pair_reserved(agent, goal);
+    if tracer.enabled() {
+        for (_, text) in agent.transcript().iter().filter(|(who, _)| who == "user") {
+            tracer.begin_request("nlu.parse");
+            std::hint::black_box(agent.nlu().parse(text));
+            tracer.end();
+        }
+    }
     out
 }
 
@@ -407,13 +414,11 @@ pub fn replay_identification(
 /// Everything a dialogue run accumulates over its episodes.
 #[derive(Debug, Default)]
 struct Totals {
-    /// Untraced `respond` latencies, one block per episode.
+    /// `respond` latencies, one block per episode.
     turn_us: Timings,
-    /// Traced turns (respond plus tracing work), in reference time.
-    traced_turn_us: Vec<f64>,
     /// Latencies of the turns that committed, one block per episode.
     commit_us: Timings,
-    /// Speed factor measured before each dialogue.
+    /// Speed factor of every dialogue.
     speeds: Vec<f64>,
     actions: Vec<String>,
     dialogues: usize,
@@ -443,13 +448,12 @@ struct Totals {
 
 /// Run a dialogue workload for `opts.measure` (whole episodes).
 pub fn run(w: &DialogueWorkload, opts: &RunOptions) -> Result<Report, String> {
-    let mut tracer = Tracer::new(false);
+    let mut tracer = Tracer::new(opts.trace);
     let mut t = Totals::default();
     let start = Instant::now();
     let mut episode = 0u64;
-    while (episode as usize) < w.min_episodes || start.elapsed() < opts.measure {
+    while episode < MIN_EPISODES || start.elapsed() < opts.measure {
         let dir = opts.dir.join(format!("cinema-{episode}"));
-        tracer.set_enabled(opts.trace);
         let speed_before = speed_factor();
         let mut ep = set_up(w.customers, DATA_SEED, &dir, &mut tracer)?;
         t.setup_s.push(ep.setup_s());
@@ -461,7 +465,7 @@ pub fn run(w: &DialogueWorkload, opts: &RunOptions) -> Result<Report, String> {
         t.nlu_examples.push(ep.n_nlu_examples);
         t.flows.push(ep.n_flows);
 
-        let goals = draw_goals(&ep.agent, w.dialogues, derive_seed(opts.seed, 2, episode));
+        let goals = draw_goals(&ep.agent, w.dialogues, derive_seed(GOAL_SEED, 2, episode));
         if opts.trace {
             let seed = derive_seed(opts.seed, 3, episode);
             t.replay.push(replay_identification(
@@ -483,13 +487,9 @@ pub fn run(w: &DialogueWorkload, opts: &RunOptions) -> Result<Report, String> {
         let mut commits = 0usize;
         t.turn_us.start_block();
         t.commit_us.start_block();
+        let mut speed_before = speed_factor();
         for (i, (goal, opening)) in goals.iter().enumerate() {
-            // A traced run traces every other dialogue; the untraced
-            // ones between them give the baseline for the overhead.
-            tracer.set_enabled(opts.trace && i % 2 == 1);
             let seed = derive_seed(opts.seed, 4 + episode, i as u64);
-            let speed = speed_factor();
-            t.speeds.push(speed);
             let d = run_dialogue(&mut ep.agent, goal, opening, seed, &mut tracer);
             for (speaker, text) in ep.agent.transcript() {
                 t.transcripts.update(speaker.as_bytes());
@@ -499,20 +499,20 @@ pub fn run(w: &DialogueWorkload, opts: &RunOptions) -> Result<Report, String> {
             t.successes += usize::from(d.success);
             t.turns += d.turn_us.len();
             commits += usize::from(d.commit_us.is_some());
-            if d.traced_turn_us.is_empty() {
-                d.turn_us.iter().for_each(|&us| t.turn_us.push(us, speed));
-                d.commit_us
-                    .into_iter()
-                    .for_each(|us| t.commit_us.push(us, speed));
-            } else {
-                t.traced_turn_us
-                    .extend(d.traced_turn_us.iter().map(|us| us * speed));
-            }
+            // Each dialogue's turns are scaled by the mean of the speeds
+            // measured just before and just after it.
+            let speed_after = speed_factor();
+            let speed = (speed_before + speed_after) / 2.0;
+            speed_before = speed_after;
+            t.speeds.push(speed);
+            d.turn_us.iter().for_each(|&us| t.turn_us.push(us, speed));
+            d.commit_us
+                .into_iter()
+                .for_each(|us| t.commit_us.push(us, speed));
             t.actions.extend(d.actions);
             t.problems.extend(d.problems);
             t.refusals.extend(d.refusals);
         }
-        tracer.set_enabled(false);
 
         let (hits, misses) = ep.agent.policy().cache.stats();
         t.cache_hits += hits;
@@ -527,7 +527,13 @@ pub fn run(w: &DialogueWorkload, opts: &RunOptions) -> Result<Report, String> {
         }
         let live = dump_sql(ep.agent.db()).map_err(|e| format!("dump live database: {e}"))?;
         drop(ep);
-        check_recovery(&dir, &live, &mut t)?;
+        let reopens = time_reopens(&dir, &live, RECOVERY_OPENS)?;
+        if !reopens.matches {
+            t.problems
+                .push(format!("{} recovers a different database", dir.display()));
+        }
+        t.recover_s.extend(reopens.wall_s);
+        t.recover_ref_s.extend(reopens.ref_s);
         std::fs::remove_dir_all(&dir).map_err(|e| format!("remove {}: {e}", dir.display()))?;
         episode += 1;
     }
@@ -537,23 +543,6 @@ pub fn run(w: &DialogueWorkload, opts: &RunOptions) -> Result<Report, String> {
             .map_err(|e| e.to_string())?;
     }
     Ok(report(w, &t, &tracer))
-}
-
-/// Reopen the data directory an episode left behind: the recovered
-/// database must dump exactly like the live one did.
-fn check_recovery(dir: &Path, live: &str, t: &mut Totals) -> Result<(), String> {
-    for i in 0..RECOVERY_OPENS {
-        let speed = speed_factor();
-        let start = Instant::now();
-        let db = Database::open(dir).map_err(|e| format!("reopen {}: {e}", dir.display()))?;
-        t.recover_s.push(secs(start));
-        t.recover_ref_s.push(secs(start) * speed);
-        if i == 0 && dump_sql(&db).map_err(|e| e.to_string())? != live {
-            t.problems
-                .push(format!("{} recovers a different database", dir.display()));
-        }
-    }
-    Ok(())
 }
 
 fn report(w: &DialogueWorkload, t: &Totals, tracer: &Tracer) -> Report {
@@ -622,13 +611,12 @@ fn report(w: &DialogueWorkload, t: &Totals, tracer: &Tracer) -> Report {
         &t.stats_compute_ms,
         &t.wal_records_per_commit,
         &t.wal_bytes_per_commit,
-        &t.traced_turn_us,
-        &turns.pooled(),
+        tracer.overhead_pct(&["turn"]),
     );
     r.detail = vec![
         metric(
             "nlu.parse_us",
-            median(&tracer.durations_us("nlu.parse", Some("turn"))),
+            median(&tracer.durations_us("nlu.parse", None)),
             "us",
         ),
         metric("agent.identify_ms", span_ms("agent.identify"), "ms"),

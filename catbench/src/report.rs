@@ -115,18 +115,16 @@ pub fn metric(name: &str, value: f64, unit: &'static str) -> Metric {
 
 /// The per-layer metrics every workload reports: set-up phases, one
 /// statistics recompute of the workload's largest table, log records and
-/// bytes per commit, and the tracing overhead (traced against untraced
-/// requests of the same run, in reference time).
+/// bytes per commit, and the tracing overhead (see
+/// [`crate::trace::Tracer::overhead_pct`]).
 pub(crate) fn common_layers(
     corpus_s: &[f64],
     load_s: &[f64],
     stats_compute_ms: &[f64],
     wal_records_per_commit: &[f64],
     wal_bytes_per_commit: &[f64],
-    traced_us: &[f64],
-    untraced_us: &[f64],
+    overhead_pct: f64,
 ) -> Vec<Metric> {
-    let base = median(untraced_us);
     vec![
         metric("setup.corpus_s", median(corpus_s), "s"),
         metric("setup.load_s", median(load_s), "s"),
@@ -137,11 +135,7 @@ pub(crate) fn common_layers(
             "count",
         ),
         metric("wal.bytes_per_commit", median(wal_bytes_per_commit), "B"),
-        metric(
-            "trace.overhead_pct",
-            (median(traced_us) - base) / base * 100.0,
-            "%",
-        ),
+        metric("trace.overhead_pct", overhead_pct, "%"),
     ]
 }
 

@@ -10,6 +10,10 @@
 //! recomputes the table's statistics. Reads are drawn from pools of
 //! distinct statements, each checked against the reference executor
 //! before timing starts.
+//!
+//! A traced run traces every statement: a read runs through parse →
+//! plan → lower → drive one call at a time, with a span around each, and
+//! an update runs through the session inside one span.
 
 use std::time::Instant;
 
@@ -28,7 +32,8 @@ use crate::report::{common_layers, metric, Report};
 use crate::summary::{median, Timings};
 use crate::trace::Tracer;
 use crate::{
-    derive_seed, file_len, open_durable_copy, peak_rss_mb, speed_factor, Digest, RunOptions,
+    derive_seed, file_len, open_durable_copy, peak_rss_mb, speed_factor, time_reopens, Digest,
+    RunOptions,
 };
 
 /// Size of the SQL workload.
@@ -36,11 +41,13 @@ use crate::{
 pub struct SqlWorkload {
     /// Rows of `listing`.
     pub rows: usize,
-    /// Distinct point lookups, ranges and joins in the read pools.
-    pub pool: usize,
-    /// Set-ups a run makes (`setup_s` is their median).
-    pub setups: usize,
 }
+
+/// Distinct point lookups and ranges in the read pools (a quarter as
+/// many joins).
+pub const POOL: usize = 64;
+/// Set-ups a run makes (`setup_s` is their median).
+const SETUPS: usize = 7;
 
 /// Rows of `seller`: one per `listing.bucket` value.
 const SELLERS: i64 = 1000;
@@ -50,9 +57,9 @@ const REGIONS: i64 = 20;
 const PRICE_TENTHS: i64 = 5000;
 /// Seed of the generated tables. The data is part of the workload's
 /// definition, like its size; the run's seed varies the statements.
-const DATA_SEED: u64 = 2022;
+pub const DATA_SEED: u64 = 2022;
 /// Reopens of the data directory timed for `recover_s`.
-const RECOVERY_OPENS: usize = 7;
+const RECOVERY_OPENS: usize = 11;
 
 /// Statement classes, each timed on its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -326,7 +333,7 @@ pub fn run(w: &SqlWorkload, opts: &RunOptions) -> Result<Report, String> {
     let mut corpus_s = Vec::new();
     let mut load_s = Vec::new();
     let mut db = None;
-    for _ in 0..w.setups.max(1) {
+    for _ in 0..SETUPS {
         drop(db.take()); // close the previous copy before replacing its directory
         let speed_before = speed_factor();
         let start = Instant::now();
@@ -336,17 +343,18 @@ pub fn run(w: &SqlWorkload, opts: &RunOptions) -> Result<Report, String> {
         db = Some(open_durable_copy(&generated, &dir)?);
         drop(generated);
         load_s.push(t.elapsed().as_secs_f64());
-        setup_s.push(start.elapsed().as_secs_f64());
-        setup_ref_s.push(start.elapsed().as_secs_f64() * (speed_before + speed_factor()) / 2.0);
+        let s = start.elapsed().as_secs_f64();
+        setup_s.push(s);
+        setup_ref_s.push(s * (speed_before + speed_factor()) / 2.0);
     }
     let mut db = db.expect("at least one set-up");
 
-    let pools = Pools::generate(w.rows, w.pool, derive_seed(opts.seed, 2, 0));
+    let pools = Pools::generate(w.rows, POOL, derive_seed(opts.seed, 2, 0));
     let t = Instant::now();
     let digest = verify_reads(&mut db, &pools)?;
     let verify_s = t.elapsed().as_secs_f64();
 
-    let mut tracer = Tracer::new(false);
+    let mut tracer = Tracer::new(opts.trace);
     let mut stats_compute_ms = Vec::new();
     if opts.trace {
         let listing = db.table("listing").map_err(|e| e.to_string())?;
@@ -362,7 +370,6 @@ pub fn run(w: &SqlWorkload, opts: &RunOptions) -> Result<Report, String> {
     let mut rng = StdRng::seed_from_u64(derive_seed(opts.seed, 3, 0));
     let mut session = Session::new();
     let mut samples = Samples::default();
-    let mut traced_us = Vec::new();
     let mut speeds = Vec::new();
     let mut scanned_per_row: [Vec<f64>; 5] = Default::default();
     let (mut attempted, mut failed, mut updates) = (0u64, 0u64, 0u64);
@@ -372,12 +379,9 @@ pub fn run(w: &SqlWorkload, opts: &RunOptions) -> Result<Report, String> {
         if round.is_multiple_of(BLOCK_ROUNDS) {
             samples.start_block();
         }
-        // A traced run traces every other round; the untraced rounds
-        // between them give the baseline for the overhead.
-        tracer.set_enabled(opts.trace && round % 2 == 1);
         let speed = speed_factor();
         speeds.push(speed);
-        for class in ROUND {
+        for (n, class) in ROUND.into_iter().enumerate() {
             let sql = match class {
                 Class::Update => format!(
                     "UPDATE listing SET price = {:.1} WHERE listing_id = {}",
@@ -391,31 +395,31 @@ pub fn run(w: &SqlWorkload, opts: &RunOptions) -> Result<Report, String> {
                     .clone(),
             };
             attempted += 1;
-            let ok = if tracer.enabled() {
+            let ok = if opts.trace {
                 tracer.begin_request(class.span());
-                let t = Instant::now();
-                let ok = match class {
+                let result = match class {
                     Class::Update => tracer
                         .span("sql.session", || session.execute(&mut db, &sql))
-                        .is_ok(),
-                    _ => match traced_read(&db, &sql, &mut tracer) {
-                        Ok((rows, scanned)) => {
-                            if !rows.rows.is_empty() {
-                                scanned_per_row[class as usize]
-                                    .push(scanned as f64 / rows.rows.len() as f64);
-                            }
-                            true
-                        }
-                        Err(_) => false,
-                    },
+                        .map(|_| None)
+                        .map_err(|e| e.to_string()),
+                    _ => traced_read(&db, &sql, &mut tracer).map(Some),
                 };
-                traced_us.push(t.elapsed().as_secs_f64() * 1e6 * speed);
                 tracer.end();
-                ok
+                if let Ok(Some((rows, scanned))) = &result {
+                    if !rows.rows.is_empty() {
+                        scanned_per_row[class as usize]
+                            .push(*scanned as f64 / rows.rows.len() as f64);
+                    }
+                }
+                result.is_ok()
             } else {
                 let t = Instant::now();
                 let result = session.execute(&mut db, &sql);
-                samples.push(class, t.elapsed().as_secs_f64() * 1e6, speed);
+                // The calibration just before leaves the caches cold for
+                // the round's first statement: it runs, but is not timed.
+                if n > 0 {
+                    samples.push(class, t.elapsed().as_secs_f64() * 1e6, speed);
+                }
                 result.is_ok()
             };
             failed += u64::from(!ok);
@@ -423,23 +427,14 @@ pub fn run(w: &SqlWorkload, opts: &RunOptions) -> Result<Report, String> {
         }
         round += 1;
     }
-    tracer.set_enabled(false);
-
     let wal_records = db.wal_appended_records() - wal_records;
     let wal_bytes = file_len(&wal_path).saturating_sub(wal_len);
     let live = dump_sql(&db).map_err(|e| format!("dump live database: {e}"))?;
     drop(db);
     let mut problems = Vec::new();
-    let (mut recover_s, mut recover_ref_s) = (Vec::new(), Vec::new());
-    for i in 0..RECOVERY_OPENS {
-        let speed = speed_factor();
-        let t = Instant::now();
-        let reopened = Database::open(&dir).map_err(|e| format!("reopen: {e}"))?;
-        recover_s.push(t.elapsed().as_secs_f64());
-        recover_ref_s.push(t.elapsed().as_secs_f64() * speed);
-        if i == 0 && dump_sql(&reopened).map_err(|e| e.to_string())? != live {
-            problems.push("the reopened data directory differs from the live database".to_string());
-        }
+    let reopens = time_reopens(&dir, &live, RECOVERY_OPENS)?;
+    if !reopens.matches {
+        problems.push("the reopened data directory differs from the live database".to_string());
     }
     std::fs::remove_dir_all(&dir).map_err(|e| format!("remove {}: {e}", dir.display()))?;
     if opts.trace {
@@ -475,7 +470,7 @@ pub fn run(w: &SqlWorkload, opts: &RunOptions) -> Result<Report, String> {
     r.end_to_end = vec![
         metric("setup_s", median(&setup_ref_s), "s"),
         metric("peak_rss_mb", peak_rss_mb(), "MiB"),
-        metric("recover_ref_s", median(&recover_ref_s), "s"),
+        metric("recover_ref_s", median(&reopens.ref_s), "s"),
         metric("request_p50_ref_us", all.p50(), "us"),
         metric("request_p95_ref_us", all.p95(), "us"),
         metric("requests_per_ref_s", all.per_s(), "1/s"),
@@ -500,7 +495,7 @@ pub fn run(w: &SqlWorkload, opts: &RunOptions) -> Result<Report, String> {
         metric("sql_update_p50_us", wall(Class::Update).p50(), "us"),
         metric("sql_update_p99_us", wall(Class::Update).p99(), "us"),
         metric("sql_stmts_per_s", samples.all.wall.per_s(), "1/s"),
-        metric("recover_s", median(&recover_s), "s"),
+        metric("recover_s", median(&reopens.wall_s), "s"),
         metric("setup_wall_s", median(&setup_s), "s"),
     ];
     if !opts.trace {
@@ -514,8 +509,7 @@ pub fn run(w: &SqlWorkload, opts: &RunOptions) -> Result<Report, String> {
         &stats_compute_ms,
         &[wal_records as f64 / commits],
         &[wal_bytes as f64 / commits],
-        &traced_us,
-        &all.pooled(),
+        tracer.overhead_pct(&ROUND.map(Class::span)),
     );
     r.detail.clear();
     for c in [Class::Point, Class::Range, Class::TopK, Class::Join] {

@@ -40,11 +40,12 @@ impl Summary {
 }
 
 /// Latency samples (microseconds) grouped into consecutive blocks of a
-/// run. Medians, 95th percentiles and rates are taken per block and then
-/// the median over blocks, so a burst of interference from other
-/// processes that slows one block does not move them; the 99th
-/// percentile pools every sample, since a block holds too few to
-/// estimate it.
+/// run. The 95th percentile is taken per block and then the median over
+/// blocks, so a burst of interference from other processes that slows
+/// one block does not move it. The median, the 99th percentile and the
+/// rate pool every sample: a run's requests are a mix of fast and slow
+/// kinds (a dialogue's turns, a round's statement classes), and the
+/// pooled figures follow the whole run's mix rather than a few blocks'.
 #[derive(Debug, Clone, Default)]
 pub struct Blocks {
     blocks: Vec<Vec<f64>>,
@@ -68,28 +69,24 @@ impl Blocks {
         self.blocks.concat()
     }
 
-    fn per_block(&self, f: impl Fn(&[f64]) -> f64) -> f64 {
-        let values: Vec<f64> = self
-            .blocks
-            .iter()
-            .filter(|b| !b.is_empty())
-            .map(|b| f(b))
-            .collect();
-        median(&values)
-    }
-
-    /// Median over blocks of each block's median.
+    /// Median of all samples.
     pub fn p50(&self) -> f64 {
-        self.per_block(median)
+        median(&self.pooled())
     }
 
     /// Median over blocks of each block's 95th percentile.
     pub fn p95(&self) -> f64 {
-        self.per_block(|b| {
-            let mut sorted = b.to_vec();
-            sorted.sort_by(f64::total_cmp);
-            percentile(&sorted, 95.0)
-        })
+        let per_block: Vec<f64> = self
+            .blocks
+            .iter()
+            .filter(|b| !b.is_empty())
+            .map(|b| {
+                let mut sorted = b.to_vec();
+                sorted.sort_by(f64::total_cmp);
+                percentile(&sorted, 95.0)
+            })
+            .collect();
+        median(&per_block)
     }
 
     /// 99th percentile of all samples.
@@ -97,10 +94,11 @@ impl Blocks {
         Summary::of(&self.pooled()).p99
     }
 
-    /// Median over blocks of requests completed per second of their
-    /// latencies (one client: the inverse of the mean latency).
+    /// Requests completed per second of latency (one client: the
+    /// inverse of the mean latency). NaN when empty.
     pub fn per_s(&self) -> f64 {
-        self.per_block(|b| b.len() as f64 * 1e6 / b.iter().sum::<f64>())
+        let all = self.pooled();
+        all.len() as f64 * 1e6 / all.iter().sum::<f64>()
     }
 }
 
@@ -130,7 +128,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn blocks_take_the_median_over_blocks() {
+    fn p95_is_taken_per_block_and_the_rest_pooled() {
         let mut b = Blocks::default();
         for block in [
             [10.0, 10.0, 10.0],
@@ -145,7 +143,7 @@ mod tests {
         b.start_block(); // an empty block is ignored
         assert_eq!(b.p50(), 10.0);
         assert!((b.p95() - 11.8).abs() < 1e-9);
-        assert_eq!(b.per_s(), 1e6 / (32.0 / 3.0));
+        assert_eq!(b.per_s(), 9.0 * 1e6 / 362.0);
         assert_eq!(b.pooled().len(), 9);
         assert!((b.p99() - 100.0).abs() < 1e-9);
     }

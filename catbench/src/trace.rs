@@ -55,12 +55,6 @@ impl Tracer {
         self.enabled
     }
 
-    /// Switch recording on or off between requests.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        debug_assert!(self.open.is_empty(), "toggled inside a request");
-        self.enabled = enabled;
-    }
-
     /// Open a request's root span under a fresh id.
     pub fn begin_request(&mut self, name: &'static str) {
         self.next_id += 1;
@@ -127,6 +121,27 @@ impl Tracer {
             })
             .map(|s| s.duration_ns() as f64 / 1e3)
             .collect()
+    }
+
+    /// The tracer's cost relative to the work it traces: over every
+    /// request whose root span is named in `roots`, the roots' self time
+    /// divided by the time their child spans cover, in percent. A root's
+    /// self time is everything a traced request does outside the calls
+    /// into the layers: the tracer's bookkeeping and a few instructions
+    /// of glue between the calls. NaN when no such request has children.
+    pub fn overhead_pct(&self, roots: &[&str]) -> f64 {
+        let self_ns = self_times_ns(&self.spans);
+        let (mut own, mut traced) = (0u64, 0u64);
+        for (s, &own_ns) in self.spans.iter().zip(&self_ns) {
+            if s.parent.is_none() && roots.contains(&s.name) && s.duration_ns() > own_ns {
+                own += own_ns;
+                traced += s.duration_ns() - own_ns;
+            }
+        }
+        if traced == 0 {
+            return f64::NAN;
+        }
+        own as f64 / traced as f64 * 100.0
     }
 
     /// Write every span as one JSON object per line.
@@ -230,6 +245,22 @@ mod tests {
         assert!(s.iter().all(|x| x.end_ns >= x.start_ns));
         assert_eq!(t.durations_us("agent.other", Some("turn")).len(), 1);
         assert!(t.durations_us("agent.other", Some("nlu.parse")).is_empty());
+    }
+
+    #[test]
+    fn overhead_is_root_self_time_over_child_time() {
+        let mut t = Tracer::new(true);
+        t.spans = vec![
+            span("turn", None, 0, 110),
+            span("agent.other", Some(0), 5, 105),
+            span("turn", None, 200, 230),
+            span("agent.execute", Some(2), 210, 230),
+            span("setup", None, 300, 400), // not a listed root
+            span("setup.load", Some(4), 300, 310),
+            span("turn", None, 500, 510), // no children: not counted
+        ];
+        assert!((t.overhead_pct(&["turn"]) - 20.0 / 120.0 * 100.0).abs() < 1e-9);
+        assert!(t.overhead_pct(&["nlu.parse"]).is_nan());
     }
 
     #[test]

@@ -14,14 +14,9 @@ use catbench::{derive_seed, RunOptions};
 const TINY_DIALOGUE: DialogueWorkload = DialogueWorkload {
     customers: 60,
     dialogues: 6,
-    min_episodes: 1,
 };
 
-const TINY_SQL: SqlWorkload = SqlWorkload {
-    rows: 2_000,
-    pool: 8,
-    setups: 2,
-};
+const TINY_SQL: SqlWorkload = SqlWorkload { rows: 2_000 };
 
 fn options(name: &str, trace: bool, millis: u64) -> RunOptions {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}-{trace}"));
@@ -58,9 +53,11 @@ fn assert_sound(r: &Report, traced: bool) {
     let lines = r.text_lines(traced).join("\n");
     assert!(r.correct, "checks failed:\n{lines}");
     assert!(r.attempted > 0);
-    assert_eq!(r.failed, 0, "{lines}");
+    assert!(r.failed <= r.attempted, "{lines}");
     if traced {
         assert_eq!(names(&r.per_layer), declared("per_layer"));
+        let overhead = r.per_layer.iter().find(|m| m.name == "trace.overhead_pct");
+        assert!(overhead.is_some_and(|m| m.value.is_finite() && m.value > 0.0));
     } else {
         assert_eq!(names(&r.end_to_end), declared("end_to_end"));
         for m in &r.end_to_end {
@@ -115,6 +112,7 @@ fn dialogue_workload_traced_smoke() {
 fn sql_workload_smoke() {
     let r = sql::run(&TINY_SQL, &options("sql", false, 200)).unwrap();
     assert_sound(&r, false);
+    assert_eq!(r.failed, 0, "no statement of the mix may fail");
     assert!(names(&r.detail).contains(&"sql_update_p99_us".to_string()));
 }
 
@@ -123,6 +121,7 @@ fn sql_workload_traced_smoke() {
     let opts = options("sql", true, 200);
     let r = sql::run(&TINY_SQL, &opts).unwrap();
     assert_sound(&r, true);
+    assert_eq!(r.failed, 0, "no statement of the mix may fail");
     let detail = names(&r.detail);
     assert_eq!(detail.len(), 4 * 4 + 2);
     assert!(detail.contains(&"sql.topk.exec_us".to_string()));
@@ -131,9 +130,11 @@ fn sql_workload_traced_smoke() {
 
 #[test]
 fn sql_reads_repeat_exactly_per_seed() {
+    // The data is fixed, as in the benchmark; the run's seed varies only
+    // the statements.
     let digest = |seed: u64| {
-        let mut db = sql::generate(TINY_SQL.rows, derive_seed(seed, 1, 0)).unwrap();
-        let pools = Pools::generate(TINY_SQL.rows, TINY_SQL.pool, derive_seed(seed, 2, 0));
+        let mut db = sql::generate(TINY_SQL.rows, sql::DATA_SEED).unwrap();
+        let pools = Pools::generate(TINY_SQL.rows, sql::POOL, derive_seed(seed, 2, 0));
         sql::verify_reads(&mut db, &pools).unwrap().hex()
     };
     assert_eq!(digest(3), digest(3));
