@@ -1,49 +1,37 @@
-//! P1/P2/P3 — planner/executor hot paths: indexed point lookups, indexed
-//! range scans, bounded top-k ORDER BY + LIMIT, `CandidateSet::refine`
-//! over the cinema corpus (all tracked since PR 1), the PR 2 optimizer
-//! levers — multi-index AND intersection and cardinality-greedy
-//! three-table join ordering with staged predicate pushdown — the
-//! PR 3 join-execution layer (build-side hash join and merge join over
-//! ordered indexes for unindexed join columns), the PR 4 build-side
-//! pushdown (a selective conjunct on the join table pre-filters the hash
-//! build instead of running as a residual filter), the PR 5
-//! correlation-aware estimator (joint 2-D MCV statistics decline a
-//! redundant intersection probe on a correlated column pair), and the
-//! PR 6 memory-robustness layer (a skewed and a near-distinct 10k-row
-//! build executed under a 256 KiB budget: partitioned build, hot keys on
-//! the always-resident path, against the unbudgeted in-place build).
+//! Planner/executor hot paths. Every group times a *before* shape
+//! against an *after* shape and asserts that both return the same rows
+//! before timing anything.
 //!
-//! The PR 1 groups measure *before* (naive reference executor / forward
-//! path walk) against *after* (planned executor); the PR 2 groups measure
-//! the PR 1 planner shape (`PlanOptions::single_access_path()`: one
-//! access path, FROM-order joins, post-join filtering) against the full
-//! planner on identical executor code; the PR 3 groups measure the PR 2
-//! shape (`PlanOptions::per_key_joins()`: unindexed join columns degrade
-//! to a right-table scan *per outer tuple*) against the join-strategy
-//! planner; the PR 4 group measures the PR 3 shape
-//! (`PlanOptions::no_build_pushdown()`: the build side is always hashed
-//! in full, join-side conjuncts run as residual filters) against the
-//! pre-filtered build; the PR 5 group measures the PR 4 estimator
-//! (`PlanOptions::independence_only()`: conjunct selectivities multiply
-//! as if independent) against the joint-stats/backoff estimator on a
-//! correlated column pair; the PR 6 groups measure budget-degraded
-//! (partitioned) execution against the unbudgeted in-place build — a
-//! bounded-regression pair rather than a speedup: the partitioned path
-//! pays one extra pass to keep its peak under the budget. The PR 9
-//! groups measure serial (`worker_threads = 1`) against morsel-parallel
-//! (`worker_threads = 4`) execution of a selective unindexed scan and a
-//! duplicate-heavy hash build, plus a first mixed read/write throughput
-//! group: snapshot readers racing two writer threads over an `RwLock`d
-//! database. The PR 10 groups price durability: `wal_commit_2k`
-//! measures single-row update commits against a write-ahead-logged
-//! database with the per-commit fsync on (the durable default) and off —
-//! a latency trade, not a code-path speedup — and `recovery_replay_10k`
-//! measures `Database::open` replaying a 10k-record log against opening
-//! the same state folded into a checkpoint snapshot, which is what
-//! `CHECKPOINT` buys at startup. Medians and speedups land in
-//! `BENCH_PR10.json` at the workspace root; CI diffs the shared group
-//! names against the committed baselines (`scripts/bench_compare.rs`)
-//! and fails on >25% regressions of the machine-normalized medians.
+//! - The planner groups run one query through the naive reference
+//!   executor (before) and the planned executor (after), via
+//!   [`run_both`]: indexed point lookups, selective equality, range
+//!   scans, bounded top-k ORDER BY + LIMIT, multi-index AND
+//!   intersection, cardinality-greedy three-table join ordering with
+//!   staged predicate pushdown, the join strategies for unindexed join
+//!   columns (build-side hash join, merge over ordered indexes),
+//!   build-side pushdown, and the correlation-aware estimator declining a
+//!   redundant intersection probe. Each fixture also asserts that the
+//!   default plan takes the path its group is named after.
+//! - `refine_cinema_*` time the forward path walk of
+//!   `CandidateSet::refine_by_walk` against the indexed `refine`.
+//! - The memory-budget groups time the unbudgeted in-place hash build
+//!   against the same query under a 256 KiB budget (partitioned build,
+//!   hot keys on the always-resident path) — a bounded-regression pair,
+//!   not a speedup.
+//! - `mvcc_visibility_scan_10k` prices reading through an MVCC snapshot
+//!   over a table with open versions.
+//! - The parallel groups compare `worker_threads = 1` against 4 on a
+//!   selective unindexed scan, a duplicate-heavy hash build, and
+//!   snapshot readers racing two writer threads over an `RwLock`d
+//!   database.
+//! - `wal_commit_2k` prices the per-commit fsync of the write-ahead log,
+//!   and `recovery_replay_10k` prices replaying a 10k-record log against
+//!   loading a checkpoint snapshot.
+//!
+//! Medians and speedups land in `BENCH_PR12.json` at the workspace root;
+//! CI diffs the shared group names against the committed baselines
+//! (`scripts/bench_compare.rs`) and fails on >25% regressions of the
+//! machine-normalized medians.
 //!
 //! Run with: `cargo bench -p cat-bench --bench planner`
 
@@ -55,7 +43,7 @@ use cat_corpus::{generate_cinema, CinemaConfig};
 use cat_policy::{Attribute, CandidateSet};
 use cat_txdb::sql::{
     execute, execute_select_at, execute_select_reference, execute_select_with, parse_statement,
-    plan_select, JoinStrategy, PlanOptions, Statement,
+    plan_select, JoinStrategy, PlanOptions, SelectPlan, Statement,
 };
 use cat_txdb::{dump_sql, row, DataType, Database, RowId, TableSchema, Value, WalOptions};
 
@@ -123,37 +111,23 @@ fn run_both(c: &mut Criterion, group: &str, db: &mut Database, sql: &str) {
     g.finish();
 }
 
-/// Like [`run_both`], but comparing the PR 1 planner shape against the
-/// full PR 2 planner (multi-index AND, join reordering, staged pushdown)
-/// on the same executor.
-fn run_pr1_vs_pr2(c: &mut Criterion, group: &str, db: &mut Database, sql: &str) {
+/// The default plan of `sql`, for asserting that a fixture exercises the
+/// code path its group is named after.
+fn default_plan(db: &Database, sql: &str) -> SelectPlan {
     let Statement::Select(sel) = parse_statement(sql).expect("parse") else {
         panic!("not a select")
     };
-    let pr1 = PlanOptions::single_access_path();
-    // Sanity: all three paths agree before we time them.
-    let reference = execute_select_reference(db, &sel).expect("reference");
-    let single = execute_select_with(db, &sel, &pr1).expect("single");
-    let planned = execute(db, sql).expect("planned");
-    assert_eq!(
-        planned.rows().expect("rows"),
-        &reference,
-        "paths disagree on {sql}"
-    );
-    assert_eq!(&single, &reference, "PR1 shape disagrees on {sql}");
+    plan_select(db, &sel).expect("plan")
+}
 
-    let mut g = c.benchmark_group(group);
-    g.sample_size(40);
-    g.bench_function("before_pr1_planner", |b| {
-        b.iter(|| execute_select_with(db, &sel, &pr1).expect("single"))
-    });
-    g.finish();
-    let mut g = c.benchmark_group(group);
-    g.sample_size(40);
-    g.bench_function("after_pr2_planner", |b| {
-        b.iter(|| execute(db, sql).expect("planned"))
-    });
-    g.finish();
+/// Assert that the default plan of `sql` runs `strategy` on some join.
+fn assert_strategy(db: &Database, sql: &str, strategy: JoinStrategy) {
+    let plan = default_plan(db, sql);
+    assert!(
+        plan.join_order.iter().any(|j| j.strategy == strategy),
+        "expected {strategy:?} in plan, got {}",
+        plan.describe()
+    );
 }
 
 fn bench_point_lookup(c: &mut Criterion) {
@@ -229,10 +203,10 @@ fn listings_coarse(n: usize) -> Database {
 
 fn bench_multi_index_and(c: &mut Criterion) {
     let mut db = listings_coarse(50_000);
-    // bucket = 7 keeps 2% (1000 rows); the price band keeps 4%. PR 1
-    // fetches the bucket and filters row by row; PR 2 intersects the two
-    // RowId sets and touches only the ~40 surviving rows.
-    run_pr1_vs_pr2(
+    // bucket = 7 keeps 2% (1000 rows); the price band keeps 4%. The
+    // planner intersects the two RowId sets and touches only the ~40
+    // surviving rows.
+    run_both(
         c,
         "planner_multi_index_and_50k",
         &mut db,
@@ -297,58 +271,8 @@ fn awards_db(movies: usize, fanout: usize) -> Database {
     db
 }
 
-/// Like [`run_pr1_vs_pr2`], but comparing the PR 2 per-key join fallback
-/// against the PR 3 join-strategy planner, asserting the after-plan uses
-/// `expect_strategy` somewhere. `samples` is small for the quadratic
-/// before path (the shim still auto-calibrates iterations per sample).
-fn run_per_key_vs_strategies(
-    c: &mut Criterion,
-    group: &str,
-    db: &mut Database,
-    sql: &str,
-    expect_strategy: JoinStrategy,
-    samples: usize,
-) {
-    let Statement::Select(sel) = parse_statement(sql).expect("parse") else {
-        panic!("not a select")
-    };
-    let per_key = PlanOptions::per_key_joins();
-    let plan = plan_select(db, &sel).expect("plan");
-    assert!(
-        plan.join_order
-            .iter()
-            .any(|j| j.strategy == expect_strategy),
-        "expected {expect_strategy:?} in plan, got {}",
-        plan.describe()
-    );
-    // Sanity: all three paths agree before we time them.
-    let reference = execute_select_reference(db, &sel).expect("reference");
-    let fallback = execute_select_with(db, &sel, &per_key).expect("per-key");
-    let planned = execute(db, sql).expect("planned");
-    assert_eq!(
-        planned.rows().expect("rows"),
-        &reference,
-        "paths disagree on {sql}"
-    );
-    assert_eq!(&fallback, &reference, "per-key shape disagrees on {sql}");
-
-    let mut g = c.benchmark_group(group);
-    g.sample_size(samples);
-    g.bench_function("before_per_key_fallback", |b| {
-        b.iter(|| execute_select_with(db, &sel, &per_key).expect("per-key"))
-    });
-    g.finish();
-    let mut g = c.benchmark_group(group);
-    g.sample_size(40);
-    g.bench_function("after_join_strategy", |b| {
-        b.iter(|| execute(db, sql).expect("planned"))
-    });
-    g.finish();
-}
-
-/// Two ~10k-row tables joined on a column with no index at all: the PR 2
-/// fallback scans the right table once per outer tuple (O(n²) row
-/// touches); the join-execution layer builds one hash map and probes it.
+/// Two ~10k-row tables joined on a column with no index at all: the
+/// planner builds one hash map over the right side and probes it.
 fn bench_join_unindexed_hash(c: &mut Criterion) {
     let mut db = Database::new();
     for t in ["lt", "rt"] {
@@ -366,14 +290,9 @@ fn bench_join_unindexed_hash(c: &mut Criterion) {
         db.insert("lt", row![i, i]).expect("insert");
         db.insert("rt", row![i, i]).expect("insert");
     }
-    run_per_key_vs_strategies(
-        c,
-        "join_unindexed_hash_10k",
-        &mut db,
-        "SELECT lt.id, rt.id FROM lt JOIN rt ON rt.k = lt.k",
-        JoinStrategy::BuildHash,
-        10,
-    );
+    let sql = "SELECT lt.id, rt.id FROM lt JOIN rt ON rt.k = lt.k";
+    assert_strategy(&db, sql, JoinStrategy::BuildHash);
+    run_both(c, "join_unindexed_hash_10k", &mut db, sql);
 }
 
 /// A selective outer stream (indexed point band on the base) against a
@@ -404,21 +323,16 @@ fn bench_join_merge_range(c: &mut Criterion) {
         db.insert("lt", row![i, i % 2000]).expect("insert");
         db.insert("rt", row![i, i % 2000]).expect("insert");
     }
-    run_per_key_vs_strategies(
-        c,
-        "join_merge_range_10k",
-        &mut db,
-        "SELECT lt.id, rt.id FROM lt JOIN rt ON rt.k = lt.k WHERE lt.id >= 4000 AND lt.id < 4100",
-        JoinStrategy::MergeRange,
-        10,
-    );
+    let sql =
+        "SELECT lt.id, rt.id FROM lt JOIN rt ON rt.k = lt.k WHERE lt.id >= 4000 AND lt.id < 4100";
+    assert_strategy(&db, sql, JoinStrategy::MergeRange);
+    run_both(c, "join_merge_range_10k", &mut db, sql);
 }
 
 /// A 10k-row build side with an unindexed join key and a selective,
-/// hash-indexed filter column (1% per value): the PR 3 shape hashes all
-/// 10k rows and filters the joined stream afterwards; the build-side
-/// pushdown fetches the ~100 matching rows through the index and hashes
-/// only those.
+/// hash-indexed filter column (1% per value): the build-side pushdown
+/// fetches the ~100 matching rows through the index and hashes only
+/// those.
 fn bench_join_pushdown(c: &mut Criterion) {
     let mut db = Database::new();
     db.create_table(
@@ -448,11 +362,7 @@ fn bench_join_pushdown(c: &mut Criterion) {
         db.insert("rt", row![i, i % 500, i % 100]).expect("insert");
     }
     let sql = "SELECT lt.id, rt.id FROM lt JOIN rt ON rt.k = lt.k WHERE rt.v = 7";
-    let Statement::Select(sel) = parse_statement(sql).expect("parse") else {
-        panic!("not a select")
-    };
-    let no_pd = PlanOptions::no_build_pushdown();
-    let plan = plan_select(&db, &sel).expect("plan");
+    let plan = default_plan(&db, sql);
     assert!(
         plan.build_pushdown_count() > 0,
         "expected a build-side pushdown in the plan, got {}",
@@ -464,32 +374,7 @@ fn bench_join_pushdown(c: &mut Criterion) {
         "fixture must exercise the filtered hash build, got {}",
         plan.describe()
     );
-    // Sanity: all three paths agree before we time them.
-    let reference = execute_select_reference(&db, &sel).expect("reference");
-    let unfiltered = execute_select_with(&db, &sel, &no_pd).expect("no-pushdown");
-    let planned = execute(&mut db, sql).expect("planned");
-    assert_eq!(
-        planned.rows().expect("rows"),
-        &reference,
-        "paths disagree on {sql}"
-    );
-    assert_eq!(
-        &unfiltered, &reference,
-        "no-pushdown shape disagrees on {sql}"
-    );
-
-    let mut g = c.benchmark_group("join_pushdown_10k");
-    g.sample_size(40);
-    g.bench_function("before_unfiltered_build", |b| {
-        b.iter(|| execute_select_with(&db, &sel, &no_pd).expect("no-pushdown"))
-    });
-    g.finish();
-    let mut g = c.benchmark_group("join_pushdown_10k");
-    g.sample_size(40);
-    g.bench_function("after_build_pushdown", |b| {
-        b.iter(|| execute(&mut db, sql).expect("planned"))
-    });
-    g.finish();
+    run_both(c, "join_pushdown_10k", &mut db, sql);
 }
 
 /// A skewed join fixture: `build` has 10k rows with one key holding half
@@ -619,12 +504,10 @@ fn bench_join_partitioned_budget(c: &mut Criterion) {
 /// A 10k-row table where a hash-indexed 13-value `city` column fully
 /// determines a hash-indexed 5-value `country` column. The query probes a
 /// rare city (10 rows) plus its own country (~17% — the 0.1% × 17%
-/// independence product clears the intersection cutoff): the independence
-/// estimator fetches the ~1.7k-row country bucket into the intersection,
-/// where it shrinks nothing — the true joint selectivity equals the
-/// city's marginal. The joint-stats estimator sees the redundancy,
-/// declines the probe, and runs the country conjunct as a residual filter
-/// over the 10 city rows.
+/// independence product would clear the intersection cutoff and fetch
+/// the ~1.7k-row country bucket, which shrinks nothing). The joint-stats
+/// estimator sees the redundancy, declines the probe, and runs the
+/// country conjunct as a residual filter over the 10 city rows.
 fn bench_correlated_and(c: &mut Criterion) {
     let mut db = Database::new();
     db.create_table(
@@ -655,59 +538,19 @@ fn bench_correlated_and(c: &mut Criterion) {
             .expect("insert");
     }
     let sql = "SELECT id FROM shop WHERE city = 'C12' AND country = 'K0'";
-    let Statement::Select(sel) = parse_statement(sql).expect("parse") else {
-        panic!("not a select")
-    };
-    let indep = PlanOptions::independence_only();
-    let corr_plan = plan_select(&db, &sel).expect("plan");
-    let indep_plan = cat_txdb::sql::plan_select_with(&db, &sel, &indep).expect("plan");
+    let plan = default_plan(&db, sql);
     assert_eq!(
-        corr_plan.access.describe(),
+        plan.access.describe(),
         "index_eq(city)",
         "joint stats must decline the redundant country probe, got {}",
-        corr_plan.describe()
+        plan.describe()
     );
-    assert_eq!(
-        indep_plan.access.describe(),
-        "index_and(city&country)",
-        "independence must mis-price the intersection cutoff, got {}",
-        indep_plan.describe()
-    );
-    // Sanity: all three paths agree before we time them.
-    let reference = execute_select_reference(&db, &sel).expect("reference");
-    let independent = execute_select_with(&db, &sel, &indep).expect("independence");
-    let planned = execute(&mut db, sql).expect("planned");
-    assert_eq!(
-        planned.rows().expect("rows"),
-        &reference,
-        "paths disagree on {sql}"
-    );
-    assert_eq!(
-        &independent, &reference,
-        "independence shape disagrees on {sql}"
-    );
-
-    // Both sides run the pre-parsed statement through the same entry
-    // point: the ~3µs query is small enough that re-parsing the SQL
-    // string would otherwise dominate the estimator's effect.
-    let corr = PlanOptions::default();
-    let mut g = c.benchmark_group("correlated_and_10k");
-    g.sample_size(40);
-    g.bench_function("before_independence_estimator", |b| {
-        b.iter(|| execute_select_with(&db, &sel, &indep).expect("independence"))
-    });
-    g.finish();
-    let mut g = c.benchmark_group("correlated_and_10k");
-    g.sample_size(40);
-    g.bench_function("after_correlated_estimator", |b| {
-        b.iter(|| execute_select_with(&db, &sel, &corr).expect("correlated"))
-    });
-    g.finish();
+    run_both(c, "correlated_and_10k", &mut db, sql);
 }
 
 fn bench_join3(c: &mut Criterion) {
     let mut db = awards_db(5_000, 10);
-    run_pr1_vs_pr2(
+    run_both(
         c,
         "planner_join3_award_5k",
         &mut db,
@@ -1242,7 +1085,7 @@ fn bench_recovery_replay(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// Write `BENCH_PR10.json`: one record per benchmark group with the
+/// Write `BENCH_PR12.json`: one record per benchmark group with the
 /// before/after medians (ns) and the speedup factor. Groups shared with
 /// the committed baselines feed the CI regression gate.
 fn write_report(measurements: &[Measurement]) {
@@ -1265,11 +1108,11 @@ fn write_report(measurements: &[Measurement]) {
             pairs.push((group.to_string(), before, after));
         }
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR10.json");
-    let mut f = std::fs::File::create(path).expect("create BENCH_PR10.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR12.json");
+    let mut f = std::fs::File::create(path).expect("create BENCH_PR12.json");
     writeln!(
         f,
-        "{{\n  \"pr\": 10,\n  \"bench\": \"planner\",\n  \"unit\": \"ns\",\n  \"results\": ["
+        "{{\n  \"pr\": 12,\n  \"bench\": \"planner\",\n  \"unit\": \"ns\",\n  \"results\": ["
     )
     .unwrap();
     for (i, (group, before, after)) in pairs.iter().enumerate() {

@@ -2,7 +2,7 @@
 //! database values, augment with paraphrases and typo noise (paper §3,
 //! "Natural Language Understanding").
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
@@ -28,14 +28,16 @@ pub enum ValueSource {
 
 /// The developer-provided linguistic input: a few templates per task and
 /// per slot (paper Figure 3 — the only manual NLU effort CAT requires).
+/// The maps are ordered so that generation walks slots in the same order
+/// every run: each template's random draws depend on that order.
 #[derive(Debug, Clone, Default)]
 pub struct TemplateSet {
     /// task name -> request-intent templates (may contain placeholders).
-    pub request: HashMap<String, Vec<String>>,
+    pub request: BTreeMap<String, Vec<String>>,
     /// slot name -> inform-intent templates (each mentioning that slot).
-    pub inform: HashMap<String, Vec<String>>,
+    pub inform: BTreeMap<String, Vec<String>>,
     /// slot name -> value source.
-    pub sources: HashMap<String, ValueSource>,
+    pub sources: BTreeMap<String, ValueSource>,
 }
 
 impl TemplateSet {
@@ -476,8 +478,19 @@ mod tests {
     fn deterministic_given_seed() {
         let db = movie_db();
         let cfg = DataGenConfig::default();
-        let a = generate_nlu_data(&db, &[task()], &template_set(), &cfg);
-        let b = generate_nlu_data(&db, &[task()], &template_set(), &cfg);
+        // Several inform slots: the order the generator walks them in
+        // decides which random draws each template gets, so it must not
+        // depend on the template set's instance.
+        let templates = || {
+            let mut ts = template_set();
+            for slot in ["row", "seat", "hall", "day", "time", "city"] {
+                ts.add_inform(slot, &format!("the {slot} is {{{slot}}}"))
+                    .add_source(slot, ValueSource::Range { lo: 1, hi: 9 });
+            }
+            ts
+        };
+        let a = generate_nlu_data(&db, &[task()], &templates(), &cfg);
+        let b = generate_nlu_data(&db, &[task()], &templates(), &cfg);
         assert_eq!(a, b);
     }
 

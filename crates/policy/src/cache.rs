@@ -10,8 +10,7 @@
 //! implicitly via the version check.
 
 use std::collections::HashMap;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Cache key: attribute key + candidate-set signature.
 type Key = (String, u64);
@@ -34,6 +33,13 @@ impl StatsCache {
         StatsCache::default()
     }
 
+    /// Lock the cache. Each update is one insert, clear or counter
+    /// increment, so a panic while the lock was held cannot leave it
+    /// half-updated and a poisoned lock is taken over as is.
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Fetch the cached value for `(attr_key, signature)` if it was stored
     /// at the same table `version`; otherwise compute, store and return.
     pub fn get_or_compute<F: FnOnce() -> f64>(
@@ -45,7 +51,7 @@ impl StatsCache {
     ) -> f64 {
         let key = (attr_key.to_string(), signature);
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             if let Some(&(v, value)) = inner.map.get(&key) {
                 if v == version {
                     inner.hits += 1;
@@ -56,13 +62,13 @@ impl StatsCache {
         }
         // Compute outside the lock (pure function of the database).
         let value = compute();
-        self.inner.lock().map.insert(key, (version, value));
+        self.lock().map.insert(key, (version, value));
         value
     }
 
     /// (hits, misses) so far.
     pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         (inner.hits, inner.misses)
     }
 
@@ -78,7 +84,7 @@ impl StatsCache {
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.lock().map.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -87,7 +93,7 @@ impl StatsCache {
 
     /// Drop all entries and reset counters.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.map.clear();
         inner.hits = 0;
         inner.misses = 0;

@@ -74,27 +74,27 @@ pub struct Database {
     data_dir: Option<PathBuf>,
 }
 
-impl Clone for Database {
-    fn clone(&self) -> Database {
+impl Database {
+    /// An empty database.
+    pub fn new() -> Database {
+        Database::default()
+    }
+
+    /// A detached in-memory copy of this database: same tables,
+    /// procedures and transaction state, but no write-ahead log, so
+    /// writes to the copy never reach this database's data directory
+    /// (two logs appending to one file would interleave batches). Open a
+    /// second data directory for a durable copy.
+    pub fn to_in_memory(&self) -> Database {
         Database {
             tables: self.tables.clone(),
             procedures: self.procedures.clone(),
             txns: self.txns.clone(),
             // Statistics are cheap to recompute lazily; start cold.
             stats_cache: Mutex::new(HashMap::new()),
-            // A clone is a detached in-memory copy: two logs appending
-            // to one file would interleave batches, so the clone gets
-            // none. Open a second data directory for a durable copy.
             wal: None,
             data_dir: None,
         }
-    }
-}
-
-impl Database {
-    /// An empty database.
-    pub fn new() -> Database {
-        Database::default()
     }
 
     // ----- durability: open / checkpoint / close -----

@@ -487,9 +487,9 @@ fn execute_select(db: &Database, sel: &SelectStmt) -> Result<ResultSet> {
 }
 
 /// Execute a `SELECT` under explicit planner options — used by benchmarks
-/// and differential tests to compare optimizer generations on identical
-/// executor code. A [`PlanOptions::memory_budget`] materializes as an
-/// [`ExecBudget`] guard threaded through the whole execution.
+/// and differential tests to run the budgeted and parallel shapes. A
+/// [`PlanOptions::memory_budget`] materializes as an [`ExecBudget`] guard
+/// threaded through the whole execution.
 pub fn execute_select_with(
     db: &Database,
     sel: &SelectStmt,
@@ -1311,29 +1311,18 @@ mod tests {
         }
     }
 
-    /// Assert planned (default options), the PR 3 no-pushdown shape, the
-    /// PR 2 per-key shape, the tight-budget shape (degradation paths
-    /// live) and the reference executor all agree on `q` — including row
-    /// order.
+    /// Assert planned (default options), the tight-budget shape
+    /// (degradation paths live) and the reference executor all agree on
+    /// `q` — including row order.
     fn assert_all_paths_agree(db: &Database, q: &str) -> ResultSet {
         let Statement::Select(sel) = parse_statement(q).unwrap() else {
             unreachable!()
         };
         let planned = execute_select(db, &sel).unwrap();
-        let no_pd = execute_select_with(
-            db,
-            &sel,
-            &crate::sql::plan::PlanOptions::no_build_pushdown(),
-        )
-        .unwrap();
-        let per_key =
-            execute_select_with(db, &sel, &crate::sql::plan::PlanOptions::per_key_joins()).unwrap();
         let tight =
             execute_select_with(db, &sel, &crate::sql::plan::PlanOptions::tight_budget()).unwrap();
         let reference = execute_select_reference(db, &sel).unwrap();
         assert_eq!(planned, reference, "planned vs reference: {q}");
-        assert_eq!(no_pd, reference, "no-pushdown shape vs reference: {q}");
-        assert_eq!(per_key, reference, "per-key fallback vs reference: {q}");
         assert_eq!(tight, reference, "tight-budget shape vs reference: {q}");
         planned
     }
@@ -1422,6 +1411,26 @@ mod tests {
                 vec![Value::Int(2), Value::Text("b".into())],
                 vec![Value::Int(2), Value::Text("c".into())],
             ]
+        );
+    }
+
+    #[test]
+    fn index_probe_join_without_hash_index_is_refused() {
+        use crate::sql::plan::JoinStrategy;
+        let db = key_edge_db(false, false);
+        let Statement::Select(sel) =
+            parse_statement("SELECT lt.l_id FROM lt JOIN rt ON rt.k = lt.k").unwrap()
+        else {
+            unreachable!()
+        };
+        let mut plan = plan_select(&db, &sel).unwrap();
+        plan.join_order[0].strategy = JoinStrategy::IndexProbe;
+        let budget = ExecBudget::from_options(&PlanOptions::default());
+        let mut root = ops::lower(&db, &sel, &plan, &budget, None).unwrap();
+        let err = ops::drive(root.as_mut()).unwrap_err();
+        assert!(
+            matches!(&err, TxdbError::InvalidValue(m) if m.contains("hash index on `rt.k`")),
+            "{err}"
         );
     }
 

@@ -28,8 +28,8 @@
 //!   running it (the returned [`SelectPlan`] describes the chosen access
 //!   path, join order, strategies and filter stages).
 //! - [`execute_select_with`]: run a `SELECT` under explicit
-//!   [`PlanOptions`] — benchmarks and the differential suite use this to
-//!   pin earlier optimizer generations against the current one.
+//!   [`PlanOptions`] — a memory budget or a worker pool; benchmarks and
+//!   the differential suite use this to run those shapes.
 //! - [`execute_select_reference`]: the naive materialize-everything
 //!   executor, kept as the executable specification the differential
 //!   suite compares every other path against.

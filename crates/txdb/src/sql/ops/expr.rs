@@ -13,7 +13,7 @@ pub(crate) const NULL_VALUE: Value = Value::Null;
 
 /// Whether a join key never matches — the single definition
 /// ([`Value::is_excluded_join_key`]) shared by every strategy's build
-/// and probe sides in both executors, so all generations agree.
+/// and probe sides in both executors, so the two executors agree.
 pub(crate) fn join_key_excluded(v: &Value) -> bool {
     v.is_excluded_join_key()
 }

@@ -1,8 +1,8 @@
 //! The three join operators, one per [`JoinStrategy`]:
-//! `IndexProbeJoin` (per-tuple index probes, with a lookup fallback for
-//! legacy strategy-less plans), `BuildHashJoin` (in-place build map,
-//! degrading to the partitioned + hot-key variant under budget
-//! pressure), and `MergeRangeJoin` (tandem walk of the ordered index).
+//! `IndexProbeJoin` (per-tuple hash-index probes), `BuildHashJoin`
+//! (in-place build map, degrading to the partitioned + hot-key variant
+//! under budget pressure), and `MergeRangeJoin` (tandem walk of the
+//! ordered index).
 //!
 //! Every strategy yields per-tuple buckets in ascending-RowId order and
 //! emits in outer stream order — the canonical order both executors
@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::ops::Bound;
 use std::rc::Rc;
 
-use crate::error::Result;
+use crate::error::{Result, TxdbError};
 use crate::index::OrdKey;
 use crate::row::{Row, RowId};
 use crate::table::{join_key_partition, Table};
@@ -449,9 +449,9 @@ impl<'a> JoinOutput<'a> {
 }
 
 /// Per-tuple index probes into the build side, intersected with the
-/// build-side pushdown's fetched set when the planner priced one in. A
-/// per-key scan fallback is kept for the strategy-less planner
-/// generations, whose plans may probe unindexed columns.
+/// build-side pushdown's fetched set when the planner priced one in. The
+/// planner picks this strategy only over a hash index; a plan that names
+/// an unindexed join column is refused rather than run as a per-key scan.
 pub(super) struct IndexProbeJoin<'a> {
     core: JoinCore<'a>,
     child: Box<dyn Operator<'a> + 'a>,
@@ -500,21 +500,19 @@ impl<'a> IndexProbeJoin<'a> {
             // Probe the bucket, then intersect with the build-side
             // pushdown's fetched set — the consumed conjuncts must hold,
             // exactly as the merge path enforces through its filter.
-            let scan_bucket;
+            let filtered;
             let bucket: &[RowId] = match (right.index_bucket(&core.pj.right_col, key), &build_rids)
             {
                 (Some(b), None) => b,
                 (Some(b), Some(f)) => {
-                    scan_bucket = intersect_sorted(b, f);
-                    &scan_bucket
+                    filtered = intersect_sorted(b, f);
+                    &filtered
                 }
-                (None, filter) => {
-                    let mut looked = right.lookup(&core.pj.right_col, key)?;
-                    if let Some(f) = filter {
-                        looked = intersect_sorted(&looked, f);
-                    }
-                    scan_bucket = looked;
-                    &scan_bucket
+                (None, _) => {
+                    return Err(TxdbError::InvalidValue(format!(
+                        "IndexProbe join needs a hash index on `{}.{}`",
+                        core.pj.table, core.pj.right_col
+                    )))
                 }
             };
             let t_rids = if core.cx.needs_canonical {
@@ -538,7 +536,7 @@ impl<'a> IndexProbeJoin<'a> {
     }
 
     fn estimate(&self) -> Option<f64> {
-        self.core.pj.estimated_rows
+        Some(self.core.pj.estimated_rows)
     }
 }
 
@@ -739,7 +737,7 @@ impl<'a> BuildHashJoin<'a> {
     }
 
     fn estimate(&self) -> Option<f64> {
-        self.core.pj.estimated_rows
+        Some(self.core.pj.estimated_rows)
     }
 }
 
@@ -843,7 +841,7 @@ impl<'a> MergeRangeJoin<'a> {
     }
 
     fn estimate(&self) -> Option<f64> {
-        self.core.pj.estimated_rows
+        Some(self.core.pj.estimated_rows)
     }
 }
 

@@ -94,10 +94,10 @@
 //!   right sides favour the merge (no build allocation at all); big
 //!   streams amortize the build and favour the hash map.
 //!
-//! Before this layer, an unindexed join column degraded to a scan of the
-//! right table *per outer tuple* inside [`Table::lookup`] — an
-//! O(outer × inner) blowup, the robustness failure the dynamic
-//! hybrid-hash literature warns about. The executor preserves
+//! No strategy scans the right table *per outer tuple* — the
+//! O(outer × inner) blowup the dynamic hybrid-hash literature warns
+//! about: `IndexProbe` is chosen only when a hash index exists, and the
+//! executor refuses to run it without one. The executor preserves
 //! ascending-RowId canonical order under every strategy (hash buckets
 //! are built in scan order; the merge path computes per-tuple matches,
 //! then emits in stream order), so strategy choice — like join
@@ -148,10 +148,7 @@
 //! `probes = outer × avg_bucket`) — a large outer stream against a
 //! selective conjunct takes the pre-filter, a handful of point probes
 //! keeps the bare bucket. The executor intersects each probed bucket
-//! with the fetched set, mirroring the merge path. Pushdown is disabled
-//! by [`PlanOptions::build_pushdown`]` = false`, which the legacy
-//! planner shapes use so benchmarks and the differential suite can pin
-//! the unfiltered generation against it.
+//! with the fetched set, mirroring the merge path.
 //!
 //! # Memory budget
 //!
@@ -207,13 +204,11 @@
 //!   are folded into a single histogram probe first (they are the same
 //!   dimension, not a correlation hazard).
 //!
-//! [`PlanOptions::independence_only`] freezes the PR 4 estimator (raw
-//! products everywhere) so benches and the differential
-//! estimator-accuracy harness can compare both on identical executor
-//! code. Bad estimates — not bad algorithms — are what flip plans to
+//! Bad estimates — not bad algorithms — are what flip plans to
 //! pathological shapes (cf. the robust dynamic hybrid hash join
-//! literature), so estimator changes are gated the same way execution
-//! strategies are.
+//! literature), so the differential suite's estimator-accuracy harness
+//! holds [`SelectPlan::estimated_base_rows`] to an absolute q-error
+//! bound on a correlated fixture.
 
 use std::ops::Bound;
 
@@ -564,44 +559,11 @@ pub(crate) fn intersect_sorted(a: &[RowId], b: &[RowId]) -> Vec<RowId> {
     out
 }
 
-/// Planner feature switches. The defaults enable everything; the
-/// restricted shapes exist so benchmarks and differential tests can
-/// compare optimizer generations on identical code.
+/// Execution settings for a planned `SELECT`. None of them affects
+/// results — only memory behaviour, the build shape of hash joins and
+/// intra-query parallelism.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanOptions {
-    /// Intersect RowId sets from multiple sargable conjuncts.
-    pub multi_index: bool,
-    /// Order joins by estimated cardinality instead of FROM-order.
-    pub reorder_joins: bool,
-    /// Evaluate join-side conjuncts at the earliest level where their
-    /// tables are bound (off: everything runs after the last join).
-    pub join_pushdown: bool,
-    /// Choose a [`JoinStrategy`] per join step (build-side hash join /
-    /// merge join for unindexed join columns). Off: every join runs as
-    /// index nested-loop with the per-key scan fallback — the PR 2 shape,
-    /// kept so benchmarks and the differential suite can pin the old
-    /// (quadratic) fallback against the join-execution layer.
-    pub join_strategies: bool,
-    /// Push join-table single-table conjuncts into the join's own access
-    /// path ([`PlannedJoin::build_access`]): a selective probe pre-filters
-    /// the `BuildHash` build side or clamps the `MergeRange` walk, and
-    /// the consumed conjuncts leave the residual stages (see the
-    /// module-level *Build-side pushdown* section). Off: the build side
-    /// is always processed in full and every join-side conjunct runs as
-    /// a staged filter — the PR 3 shape, kept for benchmarks and the
-    /// differential suite. Has no effect unless `join_strategies` is on.
-    pub build_pushdown: bool,
-    /// Correlation-aware selectivity estimation: price `a = x AND b = y`
-    /// from joint (2-D) MCV statistics when the column pair is tracked
-    /// ([`crate::stats::JointStats`]), and combine conjunct selectivities
-    /// without joint evidence by exponential backoff
-    /// (`s₁ · s₂^½ · s₃^¼ · …`, ascending) instead of the raw
-    /// independence product. Off: every combination is the plain product
-    /// — the PR 4 estimator, kept so benches and the differential
-    /// estimator-accuracy harness can compare the two on identical code.
-    /// Only affects *estimates* (and the decisions priced from them);
-    /// never results.
-    pub correlation_aware: bool,
     /// Execution memory budget in bytes. When set, every materializing
     /// executor structure charges an [`ExecBudget`](super::budget::ExecBudget);
     /// hash builds whose priced footprint exceeds the build share
@@ -650,12 +612,6 @@ fn default_worker_threads() -> usize {
 impl Default for PlanOptions {
     fn default() -> PlanOptions {
         PlanOptions {
-            multi_index: true,
-            reorder_joins: true,
-            join_pushdown: true,
-            join_strategies: true,
-            build_pushdown: true,
-            correlation_aware: true,
             // The `tight-budget` feature flips the *default* to the
             // differential suite's tight budget, so CI can run the whole
             // test suite with the degradation paths live.
@@ -672,65 +628,13 @@ impl Default for PlanOptions {
 }
 
 impl PlanOptions {
-    /// The PR 1 planner shape: one access path per query, FROM-order
-    /// joins, all join-side predicates evaluated after the last join,
-    /// per-key join fallback. (Estimator frozen to the independence
-    /// product, like every legacy shape.)
-    pub fn single_access_path() -> PlanOptions {
-        PlanOptions {
-            multi_index: false,
-            reorder_joins: false,
-            join_pushdown: false,
-            join_strategies: false,
-            build_pushdown: false,
-            correlation_aware: false,
-            memory_budget: None,
-            ..PlanOptions::default()
-        }
-    }
-
-    /// The PR 2 planner shape: full optimizer, but every join still runs
-    /// as index nested-loop per key (an unindexed join column degrades to
-    /// a per-outer-tuple scan inside [`Table::lookup`]).
-    pub fn per_key_joins() -> PlanOptions {
-        PlanOptions {
-            join_strategies: false,
-            build_pushdown: false,
-            correlation_aware: false,
-            ..PlanOptions::default()
-        }
-    }
-
-    /// The PR 3 planner shape: join strategies enabled, but the build
-    /// side is never pre-filtered by its own access path. Benchmarks pin
-    /// the pushdown's win against this shape.
-    pub fn no_build_pushdown() -> PlanOptions {
-        PlanOptions {
-            build_pushdown: false,
-            correlation_aware: false,
-            ..PlanOptions::default()
-        }
-    }
-
-    /// The PR 4 estimator: full planner, but every conjunct combination
-    /// is the raw independence product — no joint statistics, no
-    /// exponential backoff. The escape hatch benches and the differential
-    /// estimator-accuracy harness pin the correlation-aware estimator
-    /// against.
-    pub fn independence_only() -> PlanOptions {
-        PlanOptions {
-            correlation_aware: false,
-            ..PlanOptions::default()
-        }
-    }
-
-    /// The PR 6 robustness shape: the full planner under a deliberately
-    /// tight [`memory_budget`](PlanOptions::memory_budget)
+    /// The robustness shape: the planner under a deliberately tight
+    /// [`memory_budget`](PlanOptions::memory_budget)
     /// ([`TIGHT_BUDGET_BYTES`]). Hash builds that cross the build share
     /// partition (with MCV hot keys pinned resident) and every
-    /// materializing structure is tracked — the differential suite's
-    /// sixth shape, which must agree byte-for-byte with the unbudgeted
-    /// planner on every generated query.
+    /// materializing structure is tracked — a differential-suite shape,
+    /// which must agree byte-for-byte with the unbudgeted planner on
+    /// every generated query.
     pub fn tight_budget() -> PlanOptions {
         PlanOptions {
             memory_budget: Some(TIGHT_BUDGET_BYTES),
@@ -738,7 +642,7 @@ impl PlanOptions {
         }
     }
 
-    /// The PR 9 parallel shape: the full planner with a 4-worker morsel
+    /// The parallel shape: the planner with a 4-worker morsel
     /// pool, thresholds shrunk so even the differential corpus's tiny
     /// tables split into multiple morsels — every eligible scan and
     /// hash build actually runs parallel. Must agree byte-for-byte with
@@ -774,10 +678,9 @@ impl PlanOptions {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinStrategy {
     /// Per-outer-tuple probe of the right side's sorted hash-index
-    /// bucket — today's path, kept whenever a hash index exists on the
-    /// join column. Falls back to a per-key scan when the index
-    /// disappears under the plan (defensive; the planner never picks it
-    /// for an unindexed column when strategies are enabled).
+    /// bucket, chosen whenever a hash index exists on the join column
+    /// and only then. Executing it without that index is an error, never
+    /// a per-key scan.
     IndexProbe,
     /// Build a key → RowIds map over the whole right side once
     /// ([`Table::join_map`]), then probe it per outer tuple. NULL and
@@ -842,9 +745,8 @@ pub struct PlannedJoin {
     /// executes — the running outer estimate of the strategy-assignment
     /// pass (`assign_join_strategies`) advanced past this step. `EXPLAIN`
     /// prints it per operator node so estimator drift is visible
-    /// mid-plan, not only at the final result. `None` when the planner
-    /// generation in use never priced the join (strategies disabled).
-    pub estimated_rows: Option<f64>,
+    /// mid-plan, not only at the final result.
+    pub estimated_rows: f64,
     /// Workers granted to this step's hash build
     /// (`PlanOptions::parallel_degree` over the rows entering the
     /// build). `1` is the serial build; `> 1` splits the in-place build
@@ -880,8 +782,8 @@ pub struct SelectPlan {
     /// Estimated base-table rows surviving the access path *and* every
     /// pushed filter — the planner's cardinality claim the differential
     /// estimator-accuracy harness holds against actual result sizes
-    /// (q-error). Correlation-aware by default; the independence product
-    /// under [`PlanOptions::independence_only`].
+    /// (q-error). Correlation-aware (see *Selectivity estimation* in the
+    /// module docs).
     pub estimated_base_rows: f64,
     /// Workers granted to the base-table fetch
     /// (`PlanOptions::parallel_degree` over the base table's rows).
@@ -1160,9 +1062,8 @@ fn tighter_hi(current: &Bound<Value>, new: Bound<Value>) -> Bound<Value> {
 
 /// Price every sargable candidate against `table` and assemble the access
 /// path: the cheapest probe below [`INDEX_SELECTIVITY_THRESHOLD`] becomes
-/// primary; with `multi_index`, further probes on *other* columns join the
-/// intersection while estimated at or below
-/// [`INTERSECT_SELECTIVITY_THRESHOLD`].
+/// primary; further probes on *other* columns join the intersection while
+/// estimated at or below [`INTERSECT_SELECTIVITY_THRESHOLD`].
 ///
 /// With statistics, equality is priced from the MCV list and ranges from
 /// the histogram. Without (the typed `Table::select` path), equality uses
@@ -1170,8 +1071,7 @@ fn tighter_hi(current: &Bound<Value>, new: Bound<Value>) -> Bound<Value> {
 /// and ranges fall back to the uninformative 1/3 guess, which never
 /// clears the thresholds.
 ///
-/// With `correlation_aware`, joint statistics feed the intersection
-/// decision: an equality probe whose tracked joint frequency against an
+/// Joint statistics feed the intersection decision: an equality probe whose tracked joint frequency against an
 /// already-chosen equality shows it would shrink the intersection by less
 /// than [`INTERSECT_SELECTIVITY_THRESHOLD`] is declined — fetching a
 /// (near-)redundant RowId set and merging it is pure waste next to
@@ -1186,8 +1086,6 @@ pub(crate) fn choose_table_access(
     table: &Table,
     stats: Option<&TableStats>,
     sargs: &[Sarg],
-    multi_index: bool,
-    correlation_aware: bool,
 ) -> (AccessPath, f64, Vec<usize>) {
     if sargs.is_empty() || table.is_empty() {
         return (AccessPath::FullScan, 1.0, Vec::new());
@@ -1286,7 +1184,7 @@ pub(crate) fn choose_table_access(
         // small to pay for fetching its RowId set. (`continue`, not
         // `break` — a later candidate on an uncorrelated column may still
         // shrink the intersection.)
-        if correlation_aware && !chosen.is_empty() {
+        if !chosen.is_empty() {
             if let (IndexProbe::Eq { column, value }, Some(st)) = (&probe, stats) {
                 let redundant = chosen.iter().any(|(pest, info)| {
                     info.as_ref().is_some_and(|(pc, pv)| {
@@ -1312,28 +1210,23 @@ pub(crate) fn choose_table_access(
         };
         chosen.push((est, eq_info));
         probes.push(probe);
-        if !multi_index {
-            break;
-        }
     }
     if probes.is_empty() {
         return (AccessPath::FullScan, 1.0, Vec::new());
     }
-    let combined = combine_probe_estimates(stats, &chosen, correlation_aware);
+    let combined = combine_probe_estimates(stats, &chosen);
     consumed.sort_unstable();
     (AccessPath::Index(probes), combined, consumed)
 }
 
-/// Combined selectivity of the chosen probes: the independence product
-/// when `corr` is off (the PR 4 estimator); otherwise equality pairs with
-/// joint statistics contribute their observed joint frequency as a single
-/// term and the terms combine with [`backoff_and`].
+/// Combined selectivity of the chosen probes: equality pairs with joint
+/// statistics contribute their observed joint frequency as a single term
+/// and the terms combine with [`backoff_and`].
 fn combine_probe_estimates(
     stats: Option<&TableStats>,
     chosen: &[(f64, Option<(String, Value)>)],
-    corr: bool,
 ) -> f64 {
-    if !corr || chosen.len() < 2 {
+    if chosen.len() < 2 {
         return chosen.iter().map(|(est, _)| est).product();
     }
     let mut used = vec![false; chosen.len()];
@@ -1398,9 +1291,7 @@ fn and_parts<'e>(expr: &'e SqlExpr, out: &mut Vec<&'e SqlExpr>) {
 }
 
 /// Estimated fraction of a single table's rows kept by the conjunction of
-/// `parts`.
-///
-/// With `corr` off this is the PR 4 independence product. With it on:
+/// `parts`:
 ///
 /// 1. range conjuncts on the *same* column are folded into one bound
 ///    pair and priced as a single range term (`price > 5 AND price <= 9`
@@ -1411,13 +1302,7 @@ fn and_parts<'e>(expr: &'e SqlExpr, out: &mut Vec<&'e SqlExpr>) {
 ///    priced from the observed joint frequency (one term for the pair);
 /// 3. everything else is priced per conjunct;
 /// 4. the terms are combined with [`backoff_and`].
-fn and_selectivity(stats: &TableStats, layout: &Layout, parts: &[&SqlExpr], corr: bool) -> f64 {
-    if !corr {
-        return parts
-            .iter()
-            .map(|e| expr_selectivity(stats, layout, e, false))
-            .product();
-    }
+fn and_selectivity(stats: &TableStats, layout: &Layout, parts: &[&SqlExpr]) -> f64 {
     let resolve = |c: &ColumnRef| -> Option<&str> {
         let slot = layout.resolve(c).ok()?;
         Some(layout.slots[slot].column.as_str())
@@ -1516,7 +1401,7 @@ fn and_selectivity(stats: &TableStats, layout: &Layout, parts: &[&SqlExpr], corr
     }
     for (i, e) in parts.iter().enumerate() {
         if !used[i] {
-            terms.push(expr_selectivity(stats, layout, e, true));
+            terms.push(expr_selectivity(stats, layout, e));
         }
     }
     backoff_and(terms)
@@ -1526,10 +1411,9 @@ fn and_selectivity(stats: &TableStats, layout: &Layout, parts: &[&SqlExpr], corr
 /// table's statistics. Composite shapes use the textbook combinators —
 /// OR → inclusion–exclusion, NOT → complement — while AND defers to
 /// [`and_selectivity`] (joint statistics, range folding and exponential
-/// backoff when `corr` is set, the plain independence product otherwise);
-/// leaves use the MCV/histogram estimates scaled by the column fill rate
+/// backoff); leaves use the MCV/histogram estimates scaled by the column fill rate
 /// (LIKE falls back to the 1/3 guess).
-fn expr_selectivity(stats: &TableStats, layout: &Layout, expr: &SqlExpr, corr: bool) -> f64 {
+fn expr_selectivity(stats: &TableStats, layout: &Layout, expr: &SqlExpr) -> f64 {
     let col_stats = |c: &ColumnRef| -> Option<&ColumnStats> {
         let slot = layout.resolve(c).ok()?;
         stats.column(&layout.slots[slot].column)
@@ -1572,16 +1456,16 @@ fn expr_selectivity(stats: &TableStats, layout: &Layout, expr: &SqlExpr, corr: b
         SqlExpr::And(..) => {
             let mut parts = Vec::new();
             and_parts(expr, &mut parts);
-            and_selectivity(stats, layout, &parts, corr)
+            and_selectivity(stats, layout, &parts)
         }
         SqlExpr::Or(a, b) => {
             let (sa, sb) = (
-                expr_selectivity(stats, layout, a, corr),
-                expr_selectivity(stats, layout, b, corr),
+                expr_selectivity(stats, layout, a),
+                expr_selectivity(stats, layout, b),
             );
             (sa + sb - sa * sb).clamp(0.0, 1.0)
         }
-        SqlExpr::Not(a) => (1.0 - expr_selectivity(stats, layout, a, corr)).clamp(0.0, 1.0),
+        SqlExpr::Not(a) => (1.0 - expr_selectivity(stats, layout, a)).clamp(0.0, 1.0),
     }
 }
 
@@ -1608,7 +1492,7 @@ fn resolve_joins(db: &Database, layout: &Layout, sel: &SelectStmt) -> Result<Vec
             build_access: AccessPath::FullScan,
             partitions: 1,
             hot_keys: Vec::new(),
-            estimated_rows: None,
+            estimated_rows: 0.0,
             build_workers: 1,
         });
     }
@@ -1681,11 +1565,11 @@ fn joinside_sargs(
 /// one O(1) probe per outer tuple; merging costs one ordered-index walk
 /// (`|right|`) plus sorting the outer keys (`outer × log₂ outer`), and is
 /// only eligible when both sides of the ON key have an ordered index.
-/// With `build_pushdown`, the join table's own access path over its
-/// single-table conjuncts enters the pricing: a filtered build costs the
-/// probe fetch (`≈ selectivity × |right|`) plus the build over the
-/// filtered rows, and a filtered merge clamps its walk when one probe
-/// bounds the join key itself. The cheapest variant wins; ties prefer
+/// The join table's own access path over its single-table conjuncts
+/// enters the pricing: a filtered build costs the probe fetch
+/// (`≈ selectivity × |right|`) plus the build over the filtered rows,
+/// and a filtered merge clamps its walk when one probe bounds the join
+/// key itself. The cheapest variant wins; ties prefer
 /// the pre-filtered variant, then the merge (no build allocation).
 ///
 /// The outer estimate advances by the right side's average bucket size —
@@ -1738,17 +1622,11 @@ fn assign_join_strategies(
         // Build-side pushdown candidate: the join table's own access
         // path over the conjuncts bound at this level.
         let mut pushdown: Option<(AccessPath, f64, Vec<usize>)> = None;
-        if opts.build_pushdown && !right.is_empty() {
+        if !right.is_empty() {
             let sargs = joinside_sargs(layout, joinside, pj.table_ord);
             if !sargs.is_empty() {
                 let (access, est, used) = db.with_stats(&pj.table, |stats| {
-                    choose_table_access(
-                        right,
-                        Some(stats),
-                        &sargs,
-                        opts.multi_index,
-                        opts.correlation_aware,
-                    )
+                    choose_table_access(right, Some(stats), &sargs)
                 })?;
                 if let AccessPath::Index(_) = access {
                     let joinside_used: Vec<usize> =
@@ -1860,7 +1738,7 @@ fn assign_join_strategies(
             pj.build_workers = opts.parallel_degree(eff_rows.max(0.0) as usize);
         }
         outer_est *= (eff_rows / distinct.max(1.0)).max(1.0);
-        pj.estimated_rows = Some(outer_est);
+        pj.estimated_rows = outer_est;
     }
     Ok(consumed)
 }
@@ -1971,21 +1849,19 @@ pub fn plan_select_with(db: &Database, sel: &SelectStmt, opts: &PlanOptions) -> 
         }
         let table_cards = table_row_counts(db, &layout);
         // Conservatism is about WHERE-clause error semantics; the join
-        // strategy is orthogonal, so unindexed joins still avoid the
-        // quadratic fallback. No build-side pushdown though: an
+        // strategy is orthogonal, so unindexed joins are still priced
+        // as hash or merge joins. No build-side pushdown though: an
         // unresolvable WHERE clause means no conjunct was classified, so
         // there is nothing safe to push (`joinside` is empty).
         let mut join_order = joins;
-        if opts.join_strategies {
-            assign_join_strategies(
-                db,
-                &layout,
-                &mut join_order,
-                table_cards[0].max(1.0),
-                &[],
-                opts,
-            )?;
-        }
+        assign_join_strategies(
+            db,
+            &layout,
+            &mut join_order,
+            table_cards[0].max(1.0),
+            &[],
+            opts,
+        )?;
         let estimated_base_rows = table_cards[0];
         return Ok(SelectPlan {
             layout,
@@ -2023,13 +1899,7 @@ pub fn plan_select_with(db: &Database, sel: &SelectStmt, opts: &PlanOptions) -> 
         (AccessPath::FullScan, 1.0, Vec::new())
     } else {
         db.with_stats(&sel.table, |stats| {
-            choose_table_access(
-                base,
-                Some(stats),
-                &sargs,
-                opts.multi_index,
-                opts.correlation_aware,
-            )
+            choose_table_access(base, Some(stats), &sargs)
         })?
     };
     let consumed: Vec<usize> = consumed_sargs.iter().map(|&i| sargs[i].conjunct).collect();
@@ -2043,18 +1913,8 @@ pub fn plan_select_with(db: &Database, sel: &SelectStmt, opts: &PlanOptions) -> 
     let mut base_sel = estimated_selectivity;
     if !base.is_empty() && pushed.len() > consumed.len() {
         db.with_stats(&sel.table, |stats| {
-            if opts.correlation_aware {
-                let parts: Vec<&SqlExpr> = pushed.iter().collect();
-                base_sel = and_selectivity(stats, &layout, &parts, true);
-            } else {
-                // The PR 4 formula: access estimate times the residual
-                // conjuncts' independence product.
-                for (i, e) in pushed.iter().enumerate() {
-                    if !consumed.contains(&i) {
-                        base_sel *= expr_selectivity(stats, &layout, e, false);
-                    }
-                }
-            }
+            let parts: Vec<&SqlExpr> = pushed.iter().collect();
+            base_sel = and_selectivity(stats, &layout, &parts);
         })?;
     }
     let estimated_base_rows = base.len() as f64 * base_sel.clamp(0.0, 1.0);
@@ -2071,7 +1931,7 @@ pub fn plan_select_with(db: &Database, sel: &SelectStmt, opts: &PlanOptions) -> 
     // above, and row count times the selectivity of the single-table
     // staged conjuncts for join sides. Join cards only drive the greedy
     // join order, so single-join and join-free plans skip that pass.
-    let reorder = opts.reorder_joins && njoins > 1;
+    let reorder = njoins > 1;
     let mut table_cards = table_row_counts(db, &layout);
     table_cards[0] = estimated_base_rows;
     if reorder {
@@ -2086,7 +1946,7 @@ pub fn plan_select_with(db: &Database, sel: &SelectStmt, opts: &PlanOptions) -> 
             }
             let mut sel_est = 1.0f64;
             db.with_stats(&j.table, |stats| {
-                sel_est = and_selectivity(stats, &layout, &single, opts.correlation_aware);
+                sel_est = and_selectivity(stats, &layout, &single);
             })?;
             table_cards[j.table_ord] *= sel_est.clamp(0.0, 1.0);
         }
@@ -2097,26 +1957,16 @@ pub fn plan_select_with(db: &Database, sel: &SelectStmt, opts: &PlanOptions) -> 
     } else {
         joins
     };
-    let mut consumed_joinside: Vec<usize> = Vec::new();
-    if opts.join_strategies && njoins > 0 {
-        // Outer estimate entering the first join: base rows surviving the
-        // access path and pushed filters (under the frozen independence
-        // estimator without reordering, only the access path — the PR 4
-        // formula).
-        let outer0 = if opts.correlation_aware || reorder {
-            estimated_base_rows
-        } else {
-            base.len() as f64 * estimated_selectivity
-        };
-        consumed_joinside = assign_join_strategies(
-            db,
-            &layout,
-            &mut join_order,
-            outer0.max(1.0),
-            &joinside,
-            opts,
-        )?;
-    }
+    // Outer estimate entering the first join: base rows surviving the
+    // access path and pushed filters.
+    let consumed_joinside = assign_join_strategies(
+        db,
+        &layout,
+        &mut join_order,
+        estimated_base_rows.max(1.0),
+        &joinside,
+        opts,
+    )?;
     // Drop the conjuncts a build-side pushdown consumed: the join's
     // filtered access path already guarantees them, so evaluating them
     // again as residual filters would be pure waste.
@@ -2137,14 +1987,10 @@ pub fn plan_select_with(db: &Database, sel: &SelectStmt, opts: &PlanOptions) -> 
         bound_after.push(bound.clone());
     }
     for (expr, ords) in joinside {
-        let stage = if opts.join_pushdown {
-            bound_after
-                .iter()
-                .position(|b| ords.iter().all(|o| b.contains(o)))
-                .expect("all ords bound after the last join")
-        } else {
-            njoins - 1
-        };
+        let stage = bound_after
+            .iter()
+            .position(|b| ords.iter().all(|o| b.contains(o)))
+            .expect("all ords bound after the last join");
         stages[stage].push(expr);
     }
 
@@ -2480,24 +2326,6 @@ mod tests {
     }
 
     #[test]
-    fn pr1_options_disable_reordering_and_staging() {
-        let db = db_with_awards();
-        let Statement::Select(sel) = parse_statement(
-            "SELECT movie.title FROM movie \
-             JOIN screening ON screening.movie_id = movie.movie_id \
-             JOIN award ON award.movie_id = movie.movie_id \
-             WHERE screening.price > 11.0",
-        )
-        .unwrap() else {
-            unreachable!()
-        };
-        let p = plan_select_with(&db, &sel, &PlanOptions::single_access_path()).unwrap();
-        assert!(!p.joins_reordered());
-        assert!(p.stages[0].is_empty(), "no pushdown: final stage only");
-        assert_eq!(p.stages[1].len(), 1);
-    }
-
-    #[test]
     fn ambiguous_unqualified_column_is_not_pushed() {
         let db = db();
         // `movie_id` exists in both tables: resolution over the joined
@@ -2606,17 +2434,6 @@ mod tests {
             "base rows {}",
             p.estimated_base_rows
         );
-        // The frozen PR 4 estimator still intersects and under-estimates.
-        let Statement::Select(sel) = parse_statement(sql).unwrap() else {
-            unreachable!()
-        };
-        let indep = plan_select_with(&db, &sel, &PlanOptions::independence_only()).unwrap();
-        assert_eq!(indep.access.describe(), "index_and(city&country)");
-        assert!(
-            indep.estimated_base_rows < 15.0,
-            "independence product under-estimates, got {}",
-            indep.estimated_base_rows
-        );
     }
 
     #[test]
@@ -2662,16 +2479,7 @@ mod tests {
             "backoff combination: got {}, want {expect}",
             p.estimated_selectivity
         );
-        let Statement::Select(sel) = parse_statement(sql).unwrap() else {
-            unreachable!()
-        };
-        let indep = plan_select_with(&db, &sel, &PlanOptions::independence_only()).unwrap();
-        assert!(
-            (indep.estimated_selectivity - s_noir * s_band).abs() < 1e-9,
-            "independence product frozen: got {}",
-            indep.estimated_selectivity
-        );
-        assert!(p.estimated_selectivity > indep.estimated_selectivity);
+        assert!(p.estimated_selectivity > s_noir * s_band);
     }
 
     #[test]
@@ -2865,20 +2673,6 @@ mod tests {
         assert_eq!(p.join_order[0].strategy, JoinStrategy::BuildHash);
     }
 
-    #[test]
-    fn per_key_options_disable_strategies() {
-        let db = unindexed_join_db(false);
-        let Statement::Select(sel) =
-            parse_statement("SELECT l.l_id FROM l JOIN r ON r.k = l.k").unwrap()
-        else {
-            unreachable!()
-        };
-        let p = plan_select_with(&db, &sel, &PlanOptions::per_key_joins()).unwrap();
-        assert_eq!(p.join_order[0].strategy, JoinStrategy::IndexProbe);
-        let p = plan_select_with(&db, &sel, &PlanOptions::single_access_path()).unwrap();
-        assert_eq!(p.join_order[0].strategy, JoinStrategy::IndexProbe);
-    }
-
     /// [`unindexed_join_db`] plus a selective, hash-indexed `tag` column
     /// on the right table (~1% per value) — the build-side pushdown
     /// candidate.
@@ -2994,25 +2788,6 @@ mod tests {
     }
 
     #[test]
-    fn pushdown_options_flag_disables_prefilter() {
-        let db = pushdown_db(false);
-        let Statement::Select(sel) =
-            parse_statement("SELECT l.l_id FROM l JOIN r ON r.k = l.k WHERE r.tag = 7").unwrap()
-        else {
-            unreachable!()
-        };
-        for opts in [
-            PlanOptions::no_build_pushdown(),
-            PlanOptions::per_key_joins(),
-            PlanOptions::single_access_path(),
-        ] {
-            let p = plan_select_with(&db, &sel, &opts).unwrap();
-            assert_eq!(p.build_pushdown_count(), 0);
-            assert_eq!(p.staged_count(), 1, "conjunct must stay a filter");
-        }
-    }
-
-    #[test]
     fn indexed_join_pushdown_prefilters_when_priced_cheaper() {
         let mut db = pushdown_db(false);
         db.table_mut("r").unwrap().create_index("k").unwrap();
@@ -3055,7 +2830,7 @@ mod tests {
     fn conservative_plan_still_assigns_strategies() {
         let db = unindexed_join_db(false);
         // `no_such` disables pushdown/reordering (lazy error semantics),
-        // but the join itself must not degrade to the quadratic fallback.
+        // but an unindexed join must still get a hash or merge strategy.
         let p = plan(
             &db,
             "SELECT l.l_id FROM l JOIN r ON r.k = l.k WHERE no_such = 1",

@@ -30,8 +30,7 @@
 //! synchronization — exactly today's serial code path.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::error::Result;
 
@@ -94,7 +93,9 @@ where
             if result.is_err() {
                 cancel.store(true, Ordering::Relaxed);
             }
-            *slots[i].lock() = Some(result);
+            // Storing the result is a single assignment, so a slot whose
+            // lock was poisoned by a panicking worker is still valid.
+            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
         }
     };
     std::thread::scope(|s| {
@@ -112,7 +113,7 @@ where
     // worker that claimed it ran to completion before storing).
     let mut out = Vec::with_capacity(morsels);
     for slot in slots {
-        match slot.into_inner() {
+        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
             Some(Ok(v)) => out.push(v),
             Some(Err(e)) => return Err(e),
             // Unclaimed after cancellation: a lower-indexed error (or a

@@ -747,7 +747,7 @@ impl Table {
                 value: value.clone(),
             })
             .collect();
-        let (access, _est, _consumed) = choose_table_access(self, stats, &sargs, true, true);
+        let (access, _est, _consumed) = choose_table_access(self, stats, &sargs);
         match access.fetch_row_ids(self)? {
             Some(rids) => {
                 let mut out = Vec::with_capacity(rids.len());

@@ -104,9 +104,9 @@ fn drop_and_reopen_recovers_committed_state() {
         .unwrap();
 
     // Observe the state as a fresh reader sees it (committed only) by
-    // rolling back the straggler on a clone; the on-disk files never saw
-    // the uncommitted writes at all.
-    let mut observer = db.clone();
+    // rolling back the straggler on an in-memory copy; the on-disk files
+    // never saw the uncommitted writes at all.
+    let mut observer = db.to_in_memory();
     observer.txn_rollback(open_txn).unwrap();
     let expect = observed_state(&observer);
 
@@ -148,6 +148,30 @@ fn reopened_database_keeps_accepting_writes() {
 
     let db = open_fast(&dir);
     assert_eq!(db.table("account").unwrap().len(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn in_memory_copy_never_writes_the_log() {
+    let dir = scratch("in-memory-copy");
+    let mut db = open_fast(&dir);
+    db.create_table(accounts_schema()).unwrap();
+    db.insert("account", row![1, 10, Value::Null]).unwrap();
+    let log_len = || std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+    let before = log_len();
+
+    let mut copy = db.to_in_memory();
+    copy.insert("account", row![2, 20, Value::Null]).unwrap();
+    let txn = copy.txn_begin();
+    copy.txn_insert(txn, "account", row![3, 30, Value::Null])
+        .unwrap();
+    copy.txn_commit(txn).unwrap();
+    assert_eq!(copy.table("account").unwrap().len(), 3);
+    assert_eq!(log_len(), before, "a write to the copy reached wal.log");
+    drop((db, copy));
+
+    let reopened = open_fast(&dir);
+    assert_eq!(reopened.table("account").unwrap().len(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
